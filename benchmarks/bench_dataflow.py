@@ -1,20 +1,9 @@
-"""Byte-aware dataflow benchmark: workspace arena + byte-model drift.
+"""Byte-aware dataflow benchmark: SOLVE byte-model drift.
 
-Runs the same batched energy grid through the pipeline with the
-workspace arena off and on, and measures what the byte-aware dataflow
-work claims:
-
-* **bitwise parity** — the arena path must reproduce the plain path's
-  transmission exactly (deviation 0.0, gated);
-* **steady state** — after the warm-up batch, further batches perform
-  zero fresh scratch allocations (gated via the arena's own
-  allocation-count telemetry);
-* **byte-model accuracy** — the SOLVE stage's measured ledger traffic
-  must match the :mod:`repro.perfmodel.bytemodel` prediction (relative
-  deviation, gated at the round-off floor);
-* **allocator pressure** — ``tracemalloc`` peak and wall time of both
-  paths (informational: ``walltime_ratio`` is reported, never gated —
-  the arena is a traffic/pressure optimisation, not a speedup claim).
+Runs a batched energy grid through the pipeline under the span tracer
+and checks that the SOLVE stage's measured ledger traffic matches the
+:mod:`repro.perfmodel.bytemodel` prediction (relative deviation, gated
+at the round-off floor by ``benchmarks/check_regression.py``).
 
 Writes ``BENCH_dataflow.json`` at the repo root for
 ``benchmarks/check_regression.py``.
@@ -27,9 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
-import time
-import tracemalloc
 from pathlib import Path
 
 import sys
@@ -46,91 +32,32 @@ from repro.pipeline import TransportPipeline
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_dataflow.json"
 
 
-def _run_batches(pipe, cache, energies, batch_size):
-    out = []
-    for lo in range(0, len(energies), batch_size):
-        chunk = [float(e) for e in energies[lo:lo + batch_size]]
-        out.extend(pipe.solve_batch(
-            cache, chunk, energy_indices=range(lo, lo + len(chunk))))
-    return out
-
-
-def _timed_pass(pipe, cache, energies, batch_size, rounds):
-    """Median wall time and tracemalloc peak of the full grid."""
-    times = []
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        _run_batches(pipe, cache, energies, batch_size)
-        times.append(time.perf_counter() - t0)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return statistics.median(times), int(peak)
-
-
 def run(num_blocks: int = 96, block_size: int = 4, num_energies: int = 64,
-        batch_size: int = 16, rounds: int = 5, seed: int = 0) -> dict:
+        batch_size: int = 16, seed: int = 0) -> dict:
     device = build_benchmark_device(num_blocks, block_size, seed)
     energies = np.linspace(1.6, 2.4, num_energies)
+    pipe = TransportPipeline(obc_method="dense", solver="rgf")
+    cache = pipe.cache(device)
 
-    pipes = {}
-    for use_arena in (False, True):
-        pipe = TransportPipeline(obc_method="dense", solver="rgf",
-                                 use_arena=use_arena)
-        cache = pipe.cache(device)
-        cache.warm()
-        for e in energies:
-            cache.boundary(float(e), "dense")
-        pipes[use_arena] = (pipe, cache)
-
-    # bitwise parity + byte-model accuracy (one traced pass per path)
     tracer = SpanTracer()
     with tracing(tracer):
-        ref = _run_batches(*pipes[False], energies, batch_size)
-        got = _run_batches(*pipes[True], energies, batch_size)
-    t_off = np.array([r.transmission_lr for r in ref])
-    t_on = np.array([r.transmission_lr for r in got])
-    max_dt = float(np.max(np.abs(t_off - t_on)))
+        for lo in range(0, num_energies, batch_size):
+            chunk = [float(e) for e in energies[lo:lo + batch_size]]
+            pipe.solve_batch(cache, chunk,
+                             energy_indices=range(lo, lo + len(chunk)))
 
-    mt = memory_totals(tracer.records())
-    solve = mt["stages"].get("SOLVE", {"measured": 0, "predicted": 0})
+    solve = memory_totals(tracer.records()).get(
+        "SOLVE", {"measured": 0, "predicted": 0})
     model_dev = (abs(solve["measured"] - solve["predicted"])
                  / solve["predicted"]) if solve["predicted"] else 1.0
-
-    # steady state: fresh allocations must stop growing after warm-up
-    pipe_on, cache_on = pipes[True]
-    warm_fresh = pipe_on.workspace.stats()["fresh"]
-    _run_batches(pipe_on, cache_on, energies, batch_size)
-    arena = pipe_on.workspace.stats()
-    steady_fresh = arena["fresh"] - warm_fresh
-
-    sec_off, peak_off = _timed_pass(*pipes[False], energies, batch_size,
-                                    rounds)
-    sec_on, peak_on = _timed_pass(*pipes[True], energies, batch_size,
-                                  rounds)
-
     return {
         "device": {"num_blocks": num_blocks, "block_size": block_size,
                    "seed": seed},
         "num_energies": num_energies,
         "energy_batch_size": batch_size,
-        "rounds": rounds,
-        "median_seconds_arena_off": sec_off,
-        "median_seconds_arena_on": sec_on,
-        "walltime_ratio": sec_off / sec_on,
-        "tracemalloc_peak_bytes_arena_off": peak_off,
-        "tracemalloc_peak_bytes_arena_on": peak_on,
-        "arena_fresh": int(arena["fresh"]),
-        "arena_reuses": int(arena["reuses"]),
-        "arena_escaped": int(arena["escaped"]),
-        "arena_reuse_rate": float(arena["reuse_rate"]),
-        "arena_outstanding": int(arena["outstanding"]),
         "measured_solve_bytes": int(solve["measured"]),
         "predicted_solve_bytes": int(solve["predicted"]),
         "solve_byte_model_deviation": float(model_dev),
-        "steady_state_fresh_deviation": float(steady_fresh),
-        "max_arena_transmission_deviation": max_dt,
     }
 
 
@@ -141,23 +68,10 @@ def report(results: dict) -> str:
         f"  device: {d['num_blocks']} blocks x {d['block_size']} orbitals, "
         f"{results['num_energies']} energies, "
         f"batch size {results['energy_batch_size']}",
-        f"  arena off : {results['median_seconds_arena_off'] * 1e3:9.2f} ms, "
-        f"tracemalloc peak "
-        f"{results['tracemalloc_peak_bytes_arena_off'] / 1e6:.1f} MB",
-        f"  arena on  : {results['median_seconds_arena_on'] * 1e3:9.2f} ms, "
-        f"tracemalloc peak "
-        f"{results['tracemalloc_peak_bytes_arena_on'] / 1e6:.1f} MB",
-        f"  reuse     : {results['arena_reuses']} reuses / "
-        f"{results['arena_fresh']} fresh "
-        f"({results['arena_reuse_rate']:.1%}); "
-        f"{results['steady_state_fresh_deviation']:.0f} fresh "
-        f"allocations after warm-up",
         f"  SOLVE traffic: measured "
         f"{results['measured_solve_bytes'] / 1e6:.1f} MB vs model "
         f"{results['predicted_solve_bytes'] / 1e6:.1f} MB "
         f"(deviation {results['solve_byte_model_deviation']:.3e})",
-        f"  max |dT|  : {results['max_arena_transmission_deviation']:.3e} "
-        f"(must be exactly 0)",
     ])
 
 
@@ -169,12 +83,8 @@ def write_json(results: dict, path: Path = JSON_PATH) -> Path:
 def test_dataflow(reportout):
     """Smoke-scale run asserting the acceptance invariants."""
     results = run(num_blocks=48, block_size=4, num_energies=16,
-                  batch_size=8, rounds=3)
-    assert results["max_arena_transmission_deviation"] == 0.0
-    assert results["steady_state_fresh_deviation"] == 0.0
+                  batch_size=8)
     assert results["solve_byte_model_deviation"] <= 1e-12
-    assert results["arena_outstanding"] == 0
-    assert results["arena_reuses"] > 0
     reportout(report(results))
 
 
@@ -187,7 +97,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.smoke:
         results = run(num_blocks=48, block_size=4, num_energies=16,
-                      batch_size=8, rounds=3)
+                      batch_size=8)
     else:
         results = run()
     print(report(results))

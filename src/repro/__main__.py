@@ -104,9 +104,9 @@ def main(argv=None) -> int:
                          help="print the telemetry snapshot stored in a "
                               "checkpoint file instead")
     reportp.add_argument("--memory", action="store_true",
-                         help="add the memory-movement view: arena reuse "
-                              "rates and predicted-vs-measured byte "
-                              "drift per stage")
+                         help="add the memory-movement view: "
+                              "predicted-vs-measured byte drift per "
+                              "stage")
 
     cachep = sub.add_parser(
         "cache", help="inspect or maintain a persistent result store")

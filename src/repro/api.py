@@ -13,9 +13,9 @@ from repro.basis import gaussian_3sp_set, tight_binding_set
 from repro.core.energygrid import adaptive_energy_grid, lead_band_structure
 from repro.core.runner import TransportSpectrum, compute_spectrum
 from repro.hamiltonian import build_device
-from repro.negf import qtbm_energy_point
 from repro.structure import silicon_nanowire, silicon_utb_film
 from repro.utils.errors import ConfigurationError
+from repro.utils.validation import check_batch_size
 
 
 def _basis(name: str, functional: str = "lda"):
@@ -50,43 +50,36 @@ def transmission(device, energies, obc_method: str = "feast",
                  **kwargs) -> np.ndarray:
     """T(E) of a prepared device; one row per energy: (E, modes, T).
 
-    ``energy_batch_size > 1`` solves the grid in (E-batch) chunks
-    through :meth:`repro.pipeline.TransportPipeline.solve_batch` —
-    stacked assembly and batched RGF kernels — instead of one call per
-    point; the returned rows are numerically equivalent.
+    The grid is solved in chunks of ``energy_batch_size`` energies, one
+    :meth:`repro.pipeline.TransportPipeline.solve_batch` each, against
+    one shared per-device cache.  Chunks of one energy run the named
+    solver; larger chunks run stacked assembly and batched RGF kernels
+    (an explicit ``solver`` name then selects the batched RGF, see
+    :func:`repro.core.compute_spectrum`); the returned rows are
+    numerically equivalent.
 
     ``kernel_backend`` selects the kernel backend for the solves (a
     registered :mod:`repro.linalg.backend` name like ``"numpy"`` or
     ``"mixed"``, an instance, or ``"auto"``); the default defers to the
     ambient backend (environment variable, else the bitwise reference).
     """
+    from repro.pipeline import TransportPipeline
     energies = [float(e) for e in energies]
+    b = check_batch_size(energy_batch_size)
     obc_kwargs = kwargs.pop("obc_kwargs", None)
     if obc_kwargs is None and obc_method == "feast":
         obc_kwargs = dict(r_outer=3.0, num_points=8, seed=0)
+    pipe = TransportPipeline(obc_method=obc_method, solver=solver,
+                             num_partitions=num_partitions,
+                             obc_kwargs=obc_kwargs,
+                             backend=kernel_backend, **kwargs)
+    cache = pipe.cache(device)
     rows = []
-    if int(energy_batch_size) > 1:
-        from repro.pipeline import TransportPipeline
-        pipe = TransportPipeline(obc_method=obc_method, solver=solver,
-                                 num_partitions=num_partitions,
-                                 obc_kwargs=obc_kwargs,
-                                 backend=kernel_backend, **kwargs)
-        cache = pipe.cache(device)
-        b = int(energy_batch_size)
-        for lo in range(0, len(energies), b):
-            chunk = energies[lo:lo + b]
-            for e, res in zip(chunk, pipe.solve_batch(
-                    cache, chunk,
-                    energy_indices=range(lo, lo + len(chunk)))):
-                rows.append((e, res.num_prop_left, res.transmission_lr))
-        return np.asarray(rows)
-    for e in energies:
-        res = qtbm_energy_point(device, e, obc_method=obc_method,
-                                solver=solver,
-                                num_partitions=num_partitions,
-                                obc_kwargs=obc_kwargs,
-                                kernel_backend=kernel_backend, **kwargs)
-        rows.append((e, res.num_prop_left, res.transmission_lr))
+    for lo in range(0, len(energies), b):
+        chunk = energies[lo:lo + b]
+        for e, res in zip(chunk, pipe.solve_batch(
+                cache, chunk, energy_indices=range(lo, lo + len(chunk)))):
+            rows.append((e, res.num_prop_left, res.transmission_lr))
     return np.asarray(rows)
 
 

@@ -65,7 +65,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
                    energy_batch_size: int = 1,
                    checkpoint=None, backend: str | None = None,
                    num_workers: int | None = None,
-                   use_arena: bool = False,
                    kernel_backend: str | None = None,
                    result_store=None) -> ProductionResult:
     """Run the full multi-bias production simulation.
@@ -98,12 +97,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
         before returning.  Mutually exclusive with ``task_runner``.
     num_workers : int, optional
         Worker count for ``backend`` (default 1; ignored otherwise).
-    use_arena : bool, optional
-        Run every transport solve with a per-pipeline workspace arena
-        (see :class:`repro.linalg.arena.Workspace`): steady-state
-        energy batches reuse scratch buffers instead of allocating
-        fresh ones.  Bitwise-identical results; arena reuse statistics
-        appear as ``memory``-category span instants.
     kernel_backend : str, optional
         Kernel-backend selector for every transport solve of the sweep
         (see :func:`repro.core.runner.compute_spectrum`): ``"numpy"``
@@ -163,7 +156,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
                     e_window=e_window, num_k=num_k,
                     task_runner=task_runner,
                     energy_batch_size=energy_batch_size,
-                    use_arena=use_arena,
                     kernel_backend=kernel_backend,
                     result_store=result_store, **kwargs)
                 spec = compute_spectrum(structure, basis, num_cells,
@@ -173,7 +165,6 @@ def run_production(structure, basis, num_cells: int, bias_points,
                                         potential=scf.potential_atom,
                                         task_runner=task_runner,
                                         energy_batch_size=energy_batch_size,
-                                        use_arena=use_arena,
                                         kernel_backend=kernel_backend,
                                         result_store=result_store)
                 current = spec.current(mu_source, mu_source - vds,

@@ -21,6 +21,7 @@ from repro.pipeline import TransportPipeline
 from repro.runtime.checkpoint import as_store
 from repro.utils.errors import (CheckpointError, ConfigurationError,
                                 TaskExecutionError)
+from repro.utils.validation import check_batch_size
 
 
 @dataclass
@@ -87,7 +88,6 @@ class SpectrumUnitSpec:
     kpoint_index: int
     energy_indices: tuple
     run_token: str             # worker-side cache key, unique per run
-    use_arena: bool = False    # workspace-arena buffer reuse in SOLVE
     #: kernel-backend selector (name or "auto"); resolved *in the
     #: worker*, so "auto" consults the worker's own device scope against
     #: the :mod:`repro.hardware` node-spec registry — heterogeneous
@@ -122,8 +122,7 @@ def _solve_unit(spec: SpectrumUnitSpec):
     in :data:`_WORKER_CACHE` (bounded FIFO — workers of a long energy
     sweep hold a handful of k-point devices, not all of them).
     """
-    kernel_backend = getattr(spec, "kernel_backend", None)
-    key = (spec.run_token, spec.kpoint_index, kernel_backend)
+    key = (spec.run_token, spec.kpoint_index, spec.kernel_backend)
     tracer = current_tracer()
     entry = _WORKER_CACHE.get(key)
     if entry is None:
@@ -133,10 +132,8 @@ def _solve_unit(spec: SpectrumUnitSpec):
                                  solver=spec.solver,
                                  num_partitions=spec.num_partitions,
                                  obc_kwargs=spec.obc_kwargs,
-                                 obc_warm_start=getattr(
-                                     spec, "obc_warm_start", False),
-                                 use_arena=spec.use_arena,
-                                 backend=kernel_backend)
+                                 obc_warm_start=spec.obc_warm_start,
+                                 backend=spec.kernel_backend)
         dev = build_device(spec.structure, spec.basis, spec.num_cells,
                            kpoint=(0.0, spec.kz))
         if spec.potential is not None:
@@ -156,14 +153,12 @@ def _solve_unit(spec: SpectrumUnitSpec):
         cache, np.asarray(spec.energies, dtype=float),
         kpoint_index=spec.kpoint_index,
         energy_indices=list(spec.energy_indices),
-        obc_subspace_guess=getattr(spec, "obc_subspace_guess", None))
-    root = getattr(spec, "store_root", None)
-    keys = getattr(spec, "store_keys", None)
-    if root is not None and keys is not None:
+        obc_subspace_guess=spec.obc_subspace_guess)
+    if spec.store_root is not None and spec.store_keys is not None:
         # publish worker-side so concurrent processes fill the store as
         # they go; the parent's own put() is an idempotent no-op then
-        rstore = ResultStore(root)
-        for k, res in zip(keys, outputs):
+        rstore = ResultStore(spec.store_root)
+        for k, res in zip(spec.store_keys, outputs):
             rstore.put(k, pack_result(res))
     return outputs
 
@@ -175,7 +170,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                      task_runner=None, energy_batch_size: int = 1,
                      checkpoint=None, backend: str | None = None,
                      num_workers: int | None = None,
-                     use_arena: bool = False,
                      kernel_backend: str | None = None,
                      result_store=None,
                      obc_warm_start: bool = False) -> TransportSpectrum:
@@ -186,6 +180,16 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
     num_k : int
         Transverse k-points (only meaningful for z-periodic structures
         like the UTBFET; the paper's scaling runs use 21).
+    solver : str
+        A solver registry name (``"splitsolve"``, ``"rgf"``, ``"bcr"``,
+        ``"direct"``) or ``"auto"``.  Only one-energy units run an
+        explicit name as given: a unit of two or more energies runs
+        every rhs-width bucket through the batched RGF sweeps whatever
+        the name (SOLVE stage labelled ``rgf_batched``), so
+        ``solver="splitsolve"`` with ``energy_batch_size > 1`` never
+        reaches SplitSolve.  ``"auto"`` is priced by the cost model per
+        point (one-energy units) or per bucket (larger units) and may
+        pick SplitSolve in either.
     potential : (num_atoms,) array, optional
         Electrostatic potential applied to the ordered device atoms.
     task_runner : callable, optional
@@ -193,12 +197,13 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         callables to their results; hook for the parallel substrate.
         Default: sequential execution.
     energy_batch_size : int or "auto"
-        Energies solved per task.  The default of 1 is the per-point
-        path (one :meth:`TransportPipeline.solve_point` per task,
-        unchanged); larger values turn each task into one (k, E-batch)
-        solved through :meth:`TransportPipeline.solve_batch` — stacked
-        OBC/assembly/RGF kernels that amortize Python/BLAS dispatch
-        across the batch.  ``"auto"`` picks the batch size from measured
+        Energies solved per task, each task one (k, E-batch) solved
+        through :meth:`TransportPipeline.solve_batch`.  The default of 1
+        runs the per-point kernels (named solver, per-energy OBC);
+        larger values run stacked OBC/assembly/RGF kernels that amortize
+        Python/BLAS dispatch across the batch (see ``solver`` for what
+        an explicit solver name does there).  Bools and fractional
+        values are rejected.  ``"auto"`` picks the batch size from measured
         dispatch overhead vs the measured per-energy solve time
         (:func:`repro.perfmodel.costmodel.suggest_energy_batch_size`,
         probed on the first k-point's first energy); when resuming from
@@ -227,11 +232,6 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
         ``task_runner``.
     num_workers : int, optional
         Worker count for ``backend`` (default 1; ignored otherwise).
-    use_arena : bool
-        Route batch-local solver scratch through a persistent
-        :class:`~repro.linalg.arena.Workspace` so steady-state energy
-        batches reuse buffers instead of reallocating (bitwise-identical
-        spectra; allocation telemetry via the span tracer).
     kernel_backend : str, optional
         Kernel-backend selector for the batched linear algebra
         (:mod:`repro.linalg.backend`): a registered name (``"numpy"``,
@@ -284,14 +284,12 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                 'energy_batch_size must be an int >= 1 or "auto"')
         batch = None
     else:
-        if int(energy_batch_size) < 1:
-            raise ConfigurationError("energy_batch_size must be >= 1")
-        batch = int(energy_batch_size)
+        batch = check_batch_size(energy_batch_size)
     kgrid = transverse_k_grid(num_k)
 
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,
                              num_partitions=num_partitions,
-                             obc_kwargs=obc_kwargs, use_arena=use_arena,
+                             obc_kwargs=obc_kwargs,
                              obc_warm_start=obc_warm_start,
                              backend=kernel_backend)
     caches = []
@@ -394,7 +392,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
             num_partitions=num_partitions, obc_kwargs=obc_kwargs,
             energies=tuple(float(e) for e in energies[miss]),
             kpoint_index=ik, energy_indices=tuple(int(e) for e in miss),
-            run_token=token, use_arena=use_arena,
+            run_token=token,
             kernel_backend=kernel_backend,
             obc_warm_start=obc_warm_start,
             store_root=rstore.root if rstore is not None else None,

@@ -8,13 +8,6 @@ active (simulated) device.  The scaling and PFlop/s experiments are driven
 by these ledgers.
 """
 
-from repro.linalg.arena import (
-    Workspace,
-    arena_scope,
-    current_arena,
-    scratch,
-    scratch_release,
-)
 from repro.linalg.flops import (
     FlopLedger,
     KernelEvent,
@@ -67,11 +60,6 @@ from repro.linalg.backend import (
 )
 
 __all__ = [
-    "Workspace",
-    "arena_scope",
-    "current_arena",
-    "scratch",
-    "scratch_release",
     "FlopLedger",
     "KernelEvent",
     "current_ledger",

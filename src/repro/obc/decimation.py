@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg import gemm, solve
-from repro.linalg.arena import scratch, scratch_release
 from repro.linalg.batched import adjoint_batched, gemm_batched, solve_batched
 from repro.utils.errors import ConvergenceError, ShapeError
 
@@ -126,14 +125,8 @@ def sancho_rubio_batch(t00s: np.ndarray, t01s: np.ndarray,
 
     err = np.full(ne, np.inf)
     for it in range(1, max_iter + 1):
-        # The [alpha | beta] staging block is workspace scratch: read
-        # once by the stacked solve, then released — the active-set
-        # shapes recur across energy batches, so steady state reuses
-        # the same buffers instead of reallocating per iteration.
-        stage = scratch((len(act), n, 2 * n), complex, tag="obc.sancho")
-        np.concatenate([alpha, beta], axis=2, out=stage)
-        ga = solve_batched(eps, stage, tag="sancho")
-        scratch_release(stage)
+        ga = solve_batched(eps, np.concatenate([alpha, beta], axis=2),
+                           tag="sancho")
         g_alpha = ga[:, :, :n]
         g_beta = ga[:, :, n:]
         a_gb = gemm_batched(alpha, g_beta, tag="sancho")

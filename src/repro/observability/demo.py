@@ -19,13 +19,6 @@ size: failed resilient attempts would emit stage spans whose flops never
 merge into the ledger, and the ``"auto"`` batch-size probe solves one
 point outside the telemetry path — either would (correctly) break the
 exact reconciliation this demo asserts.
-
-It also runs with ``use_arena=True``: the transport pipelines reuse
-workspace-arena scratch buffers across energy batches.  The arena never
-changes what the ledger records (the same kernels run on the same
-shapes), so the flop/byte reconciliation stays exact, and the
-``memory``-category arena instants feed ``python -m repro report
---memory``.
 """
 
 from __future__ import annotations
@@ -150,7 +143,7 @@ def traced_production_demo(num_nodes: int = 2, smoke: bool = False,
                     num_k=1, num_nodes=num_nodes,
                     scf_kwargs=scf_kwargs, task_runner=runner,
                     energy_batch_size=int(energy_batch_size),
-                    use_arena=True, kernel_backend=kernel_backend,
+                    kernel_backend=kernel_backend,
                     result_store=result_store)
     finally:
         if hasattr(runner, "close"):

@@ -57,11 +57,6 @@ EVENT_TYPES = ("task-start", "task-end", "span-open", "span-close",
 #: runs; everything else in the registry is deterministic)
 TIME_METRIC_SUFFIXES = ("_time_s", "_seconds")
 
-#: metric-name prefixes whose values depend on thread interleaving —
-#: arena scratch-buffer reuse varies with which worker reaches the pool
-#: first, so these gauges differ between any two runs, bus or not
-SCHEDULING_METRIC_PREFIXES = ("arena_",)
-
 
 # --------------------------------------------------------------------------
 # Bus + publisher
@@ -688,15 +683,8 @@ def comparable_telemetry(snapshot: dict) -> dict:
     Final bus-on vs. bus-off telemetry must be bitwise identical in
     every deterministic metric; this filter drops only what differs
     between *any* two runs regardless of the bus — measured wall times
-    (``*_time_s``, ``*_seconds`` histograms) and the
-    scheduling-dependent arena pool gauges (``arena_*``: scratch reuse
-    varies with worker interleaving).  It never touches flop, byte, or
-    count metrics.
+    (``*_time_s``, ``*_seconds`` histograms).  It never touches flop,
+    byte, or count metrics.
     """
-    out = {}
-    for name, entry in snapshot.items():
-        if name.endswith(TIME_METRIC_SUFFIXES) \
-                or name.startswith(SCHEDULING_METRIC_PREFIXES):
-            continue
-        out[name] = entry
-    return out
+    return {name: entry for name, entry in snapshot.items()
+            if not name.endswith(TIME_METRIC_SUFFIXES)}

@@ -316,19 +316,13 @@ def cache_report(spans) -> str:
 def memory_totals(spans, tolerance: float = 0.05) -> dict:
     """Memory-movement view of a traced run.
 
-    Returns ``{"arena", "stages"}``: the latest workspace-arena counters
-    (from the ``category="memory"`` instants the pipeline emits after
-    each batch) and, per stage span that carried a byte-model
-    prediction, a :func:`~repro.perfmodel.bytemodel.byte_drift` verdict
-    of measured vs predicted traffic.
+    Returns, per stage span that carried a byte-model prediction, a
+    :func:`~repro.perfmodel.bytemodel.byte_drift` verdict of measured vs
+    predicted traffic, keyed by stage name.
     """
     from repro.perfmodel.bytemodel import byte_drift
-    arena: dict = {}
     stages: dict = {}
     for sp in spans:
-        if sp.category == "memory" and sp.name == "arena":
-            arena = dict(sp.attrs)   # last instant wins: counters are
-            continue                 # cumulative over the workspace life
         if sp.category != "stage":
             continue
         predicted = int(sp.attrs.get("predicted_bytes", 0))
@@ -339,26 +333,15 @@ def memory_totals(spans, tolerance: float = 0.05) -> dict:
         e["predicted"] += predicted
     for name, e in stages.items():
         e.update(byte_drift(e["measured"], e["predicted"], tolerance))
-    return {"arena": arena, "stages": stages}
+    return stages
 
 
 def memory_report(spans, tolerance: float = 0.05) -> str:
-    """Human-readable :func:`memory_totals`: arena reuse + byte drift."""
-    mt = memory_totals(spans, tolerance)
+    """Human-readable :func:`memory_totals`: byte drift per stage."""
+    stages = memory_totals(spans, tolerance)
     lines = ["Memory movement (byte-aware dataflow view)"]
-    arena = mt["arena"]
-    if arena:
-        lines.append(
-            f"  arena {arena.get('name', '?')}: "
-            f"{arena.get('reuses', 0)} reuses / "
-            f"{arena.get('fresh', 0)} fresh / "
-            f"{arena.get('escaped', 0)} escaped  "
-            f"(reuse rate {float(arena.get('reuse_rate', 0.0)):.1%}, "
-            f"{int(arena.get('bytes_pooled', 0)) / 1e6:.1f} MB pooled)")
-    else:
-        lines.append("  arena: not active (run with use_arena=True)")
-    if mt["stages"]:
-        for name, e in mt["stages"].items():
+    if stages:
+        for name, e in stages.items():
             flag = "DRIFT" if e["drifting"] else "ok"
             lines.append(
                 f"  {name:<10s} measured {e['measured'] / 1e6:9.1f} MB  "

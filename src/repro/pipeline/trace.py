@@ -5,7 +5,7 @@ OBC -> ASSEMBLE -> SOLVE -> ANALYZE`` (paper Fig. 6: the phases of one
 energy point).  :func:`stage_scope` wraps one stage execution and
 captures
 
-* wall time, via :class:`repro.utils.timing.StageTimer`, and
+* wall time, and
 * flops, by running the stage under a fresh probe
   :class:`repro.linalg.flops.FlopLedger` that is merged into whatever
   ledger was active when the stage started.
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 from repro.linalg.flops import FlopLedger, current_ledger, ledger_scope
 from repro.observability.spans import current_tracer
-from repro.utils.timing import StageTimer
 
 #: Canonical stage order of one (k, E) transport task.
 STAGES = ("PREPARE", "OBC", "ASSEMBLE", "SOLVE", "ANALYZE")
@@ -91,7 +90,7 @@ class TaskTrace:
 
 
 @contextmanager
-def stage_scope(trace: TaskTrace, name: str, timer: StageTimer | None = None):
+def stage_scope(trace: TaskTrace, name: str):
     """Run one stage under timing + a probe flop ledger.
 
     Yields the :class:`StageTrace` so the stage body can attach ``meta``
@@ -101,19 +100,17 @@ def stage_scope(trace: TaskTrace, name: str, timer: StageTimer | None = None):
     exit — success or failure — so resilience accounting of a failed
     attempt still sees the flops it burned.
     """
-    timer = timer if timer is not None else StageTimer()
     parent = current_ledger()
     probe = FlopLedger(trace=parent.trace)
     st = StageTrace(name=name)
     trace.stages.append(st)
     t0 = time.perf_counter()
     try:
-        with timer.stage(name):
-            with ledger_scope(probe):
-                yield st
+        with ledger_scope(probe):
+            yield st
     finally:
         parent.merge(probe)
-        st.seconds = float(timer.stages.get(name, 0.0))
+        st.seconds = time.perf_counter() - t0
         st.flops = int(probe.total_flops)
         st.meta.setdefault(
             "bytes", int(sum(probe.bytes_by_device.values())))

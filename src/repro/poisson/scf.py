@@ -54,7 +54,6 @@ def schroedinger_poisson(structure, basis, num_cells: int,
                          raise_on_divergence: bool = False,
                          task_runner=None,
                          energy_batch_size: int = 1,
-                         use_arena: bool = False,
                          checkpoint=None,
                          kernel_backend: str | None = None,
                          result_store=None) -> SCFResult:
@@ -77,9 +76,6 @@ def schroedinger_poisson(structure, basis, num_cells: int,
     energy_batch_size : forwarded to
         :func:`repro.core.runner.compute_spectrum`; values > 1 run the
         inner transport solves through the batched (k, E-batch) path.
-    use_arena : forwarded to :func:`repro.core.runner.compute_spectrum`;
-        the inner transport solves reuse workspace-arena scratch buffers
-        (bitwise-identical spectra).
     kernel_backend : forwarded to
         :func:`repro.core.runner.compute_spectrum`; selects the kernel
         backend of the inner transport solves (``"numpy"`` reference,
@@ -158,7 +154,6 @@ def schroedinger_poisson(structure, basis, num_cells: int,
                 solver=solver, potential=pot,
                 task_runner=task_runner,
                 energy_batch_size=energy_batch_size,
-                use_arena=use_arena,
                 kernel_backend=kernel_backend,
                 result_store=result_store)
             # (ii) accumulate density (trapezoid over the energy grid)

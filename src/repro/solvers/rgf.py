@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linalg import BlockTridiagonalMatrix, gemm, lu_factor, lu_solve
-from repro.linalg.arena import scratch, scratch_release
 from repro.linalg.batched import (BatchedBlockTridiag, gemm_batched,
                                   lu_factor_batched, lu_solve_batched)
 from repro.utils.errors import ShapeError
@@ -65,10 +64,8 @@ def solve_rgf(t: BlockTridiagonalMatrix, b: np.ndarray,
         carry = b[offs[i]:offs[i + 1]] - gemm(upper[i], yi[i + 1], tag=tag)
         facs[i] = lu_factor(schur, tag=tag)
 
-    # Forward substitution.  The result outlives the call (it becomes
-    # psi), so it is an *escape* checkout: accounted in the workspace
-    # telemetry, never pooled for reuse.
-    x = scratch(b.shape, complex, escape=True, tag="rgf.x")
+    # Forward substitution.
+    x = np.empty(b.shape, complex)
     x[offs[0]:offs[1]] = lu_solve(facs[0], carry, tag=tag)
     for i in range(1, nb):
         # The Schur elimination already folded the rhs into yi/xi_up:
@@ -110,68 +107,38 @@ def solve_rgf_batched(t: BatchedBlockTridiag, b: np.ndarray,
     lower = [_as_complex(l) for l in t.lower]
     ne, m = b.shape[0], b.shape[2]
 
-    # All large per-sweep temporaries — Schur stacks, rhs carries, the
-    # [lower | carry] staging block — are workspace scratch
-    # (:mod:`repro.linalg.arena`): checked out per block, released as
-    # soon as consumed, reused across blocks and across successive
-    # energy batches.  Without an active arena, `scratch` degrades to
-    # the plain allocations this function always performed.  The in-
-    # place forms (`np.matmul(..., out=)`, `np.subtract(..., out=)`,
-    # `np.concatenate(..., out=)`) run the identical kernels into the
-    # reused buffers, so every slice stays bitwise identical to the
-    # fresh-allocation path.
-    held: dict = {}
+    # The in-place forms (`np.matmul(..., out=)`, `np.subtract(...,
+    # out=)`, `np.concatenate(..., out=)`) run the same kernels as the
+    # plain expressions without a second temporary per block.
+    facs = [None] * nb
+    xi_up = [None] * nb
+    yi = [None] * nb
+    schur = _as_complex(t.diag[nb - 1])
+    carry = b[:, offs[nb - 1]:offs[nb]].copy()
+    facs[nb - 1] = lu_factor_batched(schur, tag=tag)
+    for i in range(nb - 2, -1, -1):
+        s_next, s_i = lower[i].shape[1], lower[i].shape[2]
+        stage = np.empty((ne, s_next, s_i + m), complex)
+        np.concatenate([lower[i], carry], axis=2, out=stage)
+        sol = lu_solve_batched(facs[i + 1], stage, tag=tag)
+        xi_up[i + 1] = sol[:, :, :s_i]
+        yi[i + 1] = sol[:, :, s_i:]
+        schur = np.empty((ne, s_i, s_i), complex)
+        gemm_batched(upper[i], xi_up[i + 1], tag=tag, out=schur)
+        np.subtract(t.diag[i], schur, out=schur)
+        carry = np.empty((ne, s_i, m), complex)
+        gemm_batched(upper[i], yi[i + 1], tag=tag, out=carry)
+        np.subtract(b[:, offs[i]:offs[i + 1]], carry, out=carry)
+        facs[i] = lu_factor_batched(schur, tag=tag)
 
-    def _scr(shape, tag_):
-        buf = scratch(shape, complex, tag=tag_)
-        held[id(buf)] = buf
-        return buf
-
-    def _rel(*bufs):
-        for buf in bufs:
-            held.pop(id(buf), None)
-        scratch_release(*bufs)
-
-    try:
-        facs = [None] * nb
-        xi_up = [None] * nb
-        yi = [None] * nb
-        schur = _as_complex(t.diag[nb - 1])
-        carry = _scr((ne, offs[nb] - offs[nb - 1], m), "rgf.carry")
-        np.copyto(carry, b[:, offs[nb - 1]:offs[nb]])
-        facs[nb - 1] = lu_factor_batched(schur, tag=tag)
-        for i in range(nb - 2, -1, -1):
-            s_next, s_i = lower[i].shape[1], lower[i].shape[2]
-            stage = _scr((ne, s_next, s_i + m), "rgf.stage")
-            np.concatenate([lower[i], carry], axis=2, out=stage)
-            sol = lu_solve_batched(facs[i + 1], stage, tag=tag)
-            _rel(stage, carry)
-            xi_up[i + 1] = sol[:, :, :s_i]
-            yi[i + 1] = sol[:, :, s_i:]
-            schur = _scr((ne, s_i, s_i), "rgf.schur")
-            gemm_batched(upper[i], xi_up[i + 1], tag=tag, out=schur)
-            np.subtract(t.diag[i], schur, out=schur)
-            carry = _scr((ne, s_i, m), "rgf.carry")
-            gemm_batched(upper[i], yi[i + 1], tag=tag, out=carry)
-            np.subtract(b[:, offs[i]:offs[i + 1]], carry, out=carry)
-            facs[i] = lu_factor_batched(schur, tag=tag)
-            _rel(schur)
-
-        # Forward substitution, stacked.  x escapes into the per-energy
-        # psi results, so it is an escape checkout (never pooled).
-        x = scratch(b.shape, complex, escape=True, tag="rgf.x")
-        x[:, offs[0]:offs[1]] = lu_solve_batched(facs[0], carry, tag=tag)
-        _rel(carry)
-        for i in range(1, nb):
-            s_i = offs[i + 1] - offs[i]
-            g = _scr((ne, s_i, m), "rgf.fwd")
-            gemm_batched(xi_up[i], x[:, offs[i - 1]:offs[i]], tag=tag,
-                         out=g)
-            np.subtract(yi[i], g, out=x[:, offs[i]:offs[i + 1]])
-            _rel(g)
-    except BaseException:
-        scratch_release(*held.values())
-        raise
+    # Forward substitution, stacked.
+    x = np.empty(b.shape, complex)
+    x[:, offs[0]:offs[1]] = lu_solve_batched(facs[0], carry, tag=tag)
+    for i in range(1, nb):
+        s_i = offs[i + 1] - offs[i]
+        g = np.empty((ne, s_i, m), complex)
+        gemm_batched(xi_up[i], x[:, offs[i - 1]:offs[i]], tag=tag, out=g)
+        np.subtract(yi[i], g, out=x[:, offs[i]:offs[i + 1]])
     return x
 
 

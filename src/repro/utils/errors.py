@@ -34,18 +34,6 @@ class ShapeError(ReproError, ValueError):
     """An array argument has the wrong shape or inconsistent dimensions."""
 
 
-class ArenaError(ReproError):
-    """Misuse of a :class:`repro.linalg.arena.Workspace` buffer arena."""
-
-
-class ArenaLeakError(ArenaError):
-    """Buffers were still checked out when the workspace was closed."""
-
-
-class ArenaAliasError(ArenaError):
-    """A released array aliases (views into) a checked-out buffer."""
-
-
 class SingularMatrixError(ReproError):
     """A matrix that must be invertible is numerically singular."""
 

@@ -38,6 +38,22 @@ def check_power_of_two(n: int, name: str = "value") -> int:
     return n
 
 
+def check_batch_size(value, name: str = "energy_batch_size") -> int:
+    """Return ``value`` as an int >= 1; reject bools and fractions.
+
+    ``int()`` alone would silently run ``2.5`` as 2 and ``True`` as 1.
+    """
+    try:
+        integral = not isinstance(value, bool) \
+            and float(value).is_integer()
+    except (TypeError, ValueError):
+        integral = False
+    if not integral or int(value) < 1:
+        raise ConfigurationError(
+            f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def as_complex_array(a) -> np.ndarray:
     """Return a C-contiguous complex128 copy-or-view of ``a``."""
     return np.ascontiguousarray(a, dtype=np.complex128)

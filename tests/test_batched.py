@@ -10,9 +10,10 @@ in ``compute_spectrum``.
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.runner import compute_spectrum
 from repro.experiments.fig6_phases import _test_lead
-from repro.hamiltonian import LeadBlocks
+from repro.hamiltonian import LeadBlocks, build_device
 from repro.hamiltonian.device import synthetic_device_from_lead
 from repro.linalg import (
     BatchedBlockTridiag,
@@ -228,18 +229,28 @@ def _ragged_lead():
 
 
 class TestSolveBatch:
-    def test_matches_solve_point(self):
+    @pytest.mark.parametrize("obc_method", ["dense", "feast",
+                                            "shift_invert"])
+    @pytest.mark.parametrize("solver", ["rgf", "auto"])
+    def test_matches_solve_point(self, obc_method, solver):
+        """A batch equals its per-point solves bit for bit — what lets
+        the result store re-bucket partially hit units."""
         dev = synthetic_device_from_lead(_test_lead(6, seed=3), 8)
-        pipe = TransportPipeline(obc_method="dense", solver="rgf")
-        cache = pipe.cache(dev)
-        energies = [1.7, 1.9, 2.1, 2.3]
-        ref = [pipe.solve_point(cache, e, energy_index=j)
+        obc_kwargs = dict(r_outer=3.0, num_points=8, seed=0) \
+            if obc_method == "feast" else None
+        energies = [1.7, 1.9, 2.0, 2.1, 2.3]
+        ref_pipe = TransportPipeline(obc_method=obc_method, solver=solver,
+                                     obc_kwargs=obc_kwargs)
+        ref_cache = ref_pipe.cache(dev)
+        ref = [ref_pipe.solve_point(ref_cache, e, energy_index=j)
                for j, e in enumerate(energies)]
-        got = pipe.solve_batch(cache, energies)
+        pipe = TransportPipeline(obc_method=obc_method, solver=solver,
+                                 obc_kwargs=obc_kwargs)
+        got = pipe.solve_batch(pipe.cache(dev), energies)
         for r, g in zip(ref, got):
-            assert abs(r.transmission_lr - g.transmission_lr) <= 1e-10
             assert r.num_prop_left == g.num_prop_left
-            np.testing.assert_allclose(g.psi, r.psi, atol=1e-10)
+            assert g.transmission_lr == r.transmission_lr
+            assert np.array_equal(g.psi, r.psi)
 
     def test_ragged_widths_bucketed(self):
         dev = synthetic_device_from_lead(_ragged_lead(), 6)
@@ -312,9 +323,14 @@ class TestComputeSpectrumBatched:
 
     def test_rejects_bad_batch_size(self):
         structure, basis, nc = self._args()
-        with pytest.raises(ConfigurationError):
-            compute_spectrum(structure, basis, nc, [0.0],
-                             energy_batch_size=0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                compute_spectrum(structure, basis, nc, [0.0],
+                                 energy_batch_size=bad)
+            with pytest.raises(ConfigurationError):
+                api.transmission(build_device(structure, basis, nc),
+                                 [0.0], obc_method="dense",
+                                 energy_batch_size=bad)
 
     def test_checkpoint_resume_at_batch_granularity(self, tmp_path,
                                                     monkeypatch):

@@ -798,7 +798,6 @@ class TestComparableTelemetry:
     def test_drops_only_noisy_metrics(self):
         snap = {"stage_time_s": {"kind": "labeled_counter", "values": {}},
                 "task_seconds": {"kind": "histogram", "count": 1},
-                "arena_reuses": {"kind": "gauge", "value": 4},
                 "stage_flops": {"kind": "labeled_counter",
                                 "values": {"SOLVE": 7}},
                 "retries": {"kind": "counter", "value": 1}}
