@@ -15,7 +15,7 @@ from repro.core.runner import TransportSpectrum, compute_spectrum
 from repro.hamiltonian import build_device
 from repro.structure import silicon_nanowire, silicon_utb_film
 from repro.utils.errors import ConfigurationError
-from repro.utils.validation import check_batch_size
+from repro.utils.validation import check_positive_int
 
 
 def _basis(name: str, functional: str = "lda"):
@@ -65,7 +65,7 @@ def transmission(device, energies, obc_method: str = "feast",
     """
     from repro.pipeline import TransportPipeline
     energies = [float(e) for e in energies]
-    b = check_batch_size(energy_batch_size)
+    b = check_positive_int(energy_batch_size, "energy_batch_size")
     obc_kwargs = kwargs.pop("obc_kwargs", None)
     if obc_kwargs is None and obc_method == "feast":
         obc_kwargs = dict(r_outer=3.0, num_points=8, seed=0)

@@ -21,7 +21,7 @@ from repro.pipeline import TransportPipeline
 from repro.runtime.checkpoint import as_store
 from repro.utils.errors import (CheckpointError, ConfigurationError,
                                 TaskExecutionError)
-from repro.utils.validation import check_batch_size
+from repro.utils.validation import check_positive_int
 
 
 @dataclass
@@ -284,7 +284,7 @@ def compute_spectrum(structure, basis, num_cells: int, energies,
                 'energy_batch_size must be an int >= 1 or "auto"')
         batch = None
     else:
-        batch = check_batch_size(energy_batch_size)
+        batch = check_positive_int(energy_batch_size, "energy_batch_size")
     kgrid = transverse_k_grid(num_k)
 
     pipe = TransportPipeline(obc_method=obc_method, solver=solver,

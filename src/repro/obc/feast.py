@@ -16,8 +16,11 @@ is that of one unit-cell-sized factorization — the property that lets the
 paper run the OBCs on a handful of CPU cores while the GPUs handle
 SplitSolve.
 
-Energy batching (:func:`feast_annulus_batch`) runs one lead's FEAST over a
-whole energy batch in one of two modes:
+Every driver feeds its filtered blocks to one per-energy decision loop
+(:class:`_FeastRun`): convergence, refinement, dropping a stalled
+spurious pair, subspace expansion and the warm-to-cold fallback are
+written once.  Energy batching (:func:`feast_annulus_batch`) runs one
+lead's FEAST over a whole energy batch in one of two modes:
 
 * **lock-step** (default): all energies advance through the refinement
   loop together; the contour factorizations and resolvent applies go
@@ -43,8 +46,10 @@ import numpy as np
 
 from repro.linalg import geig
 from repro.linalg.batched import bucket_by_width
+from repro.obc.modes import PROPAGATING_TOL
 from repro.utils.errors import ConfigurationError, ConvergenceError
 from repro.utils.rng import make_rng
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @dataclass
@@ -74,12 +79,21 @@ class FeastResult:
         return len(self.lambdas)
 
 
-def _contour_points(r_outer: float, num_points: int):
-    """Trapezoid nodes and weights for the annulus boundary.
+def _contour_points(r_outer: float, num_points: int, max_iter: int,
+                    tol: float):
+    """Validate the FEAST settings; return the annulus trapezoid nodes.
 
     Returns a list of (z_p, w_p) with w_p = +z_p/N on the outer circle and
     w_p = -z_p/N on the inner one (orientation: region kept between them).
+    Every driver calls this first, so a nonsense setting (zero contour
+    points, zero refinements, a non-positive tolerance) raises instead of
+    quietly returning no modes.
     """
+    if r_outer <= 1.0:
+        raise ConfigurationError("r_outer must exceed 1")
+    num_points = check_positive_int(num_points, "num_points")
+    check_positive_int(max_iter, "max_iter")
+    check_positive(tol, "tol")
     theta = 2.0 * np.pi * (np.arange(num_points) + 0.5) / num_points
     pts = []
     for z in r_outer * np.exp(1j * theta):
@@ -87,21 +101,6 @@ def _contour_points(r_outer: float, num_points: int):
     for z in (1.0 / r_outer) * np.exp(1j * theta):
         pts.append((z, -z / num_points))
     return pts
-
-
-def _seed_subspace(rng, nbc: int, m0: int, guess):
-    """Initial FEAST block: random (cold) or a prior subspace padded with
-    random columns from the same seeded stream (warm)."""
-    if guess is None or guess.shape[1] == 0:
-        y = rng.standard_normal((nbc, m0)) \
-            + 1j * rng.standard_normal((nbc, m0))
-        return y, False
-    k = min(guess.shape[1], m0)
-    if k == m0:
-        return guess[:, :m0].copy(), True
-    pad = rng.standard_normal((nbc, m0 - k)) \
-        + 1j * rng.standard_normal((nbc, m0 - k))
-    return np.hstack([guess[:, :k], pad]), True
 
 
 def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
@@ -123,7 +122,11 @@ def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
         the annulus).  Default: unit-cell size + 8, auto-doubled if the
         annulus turns out fuller than that.
     num_points : int
-        Trapezoid points per circle.
+        Trapezoid points per circle (an integer >= 1).
+    max_iter : int
+        Refinement iterations per attempt (an integer >= 1).
+    tol : float
+        Relative residual every in-annulus pair must reach (> 0).
     subspace_guess : (NBC, k) array, optional
         Warm-start block — typically the converged ``subspace`` of a
         neighbouring energy's :class:`FeastResult`.  Columns beyond the
@@ -131,62 +134,21 @@ def feast_annulus(pevp, r_outer: float = 3.0, subspace: int | None = None,
         the solver falls back to fully random (still seeded) redraws, so
         results stay deterministic under a fixed ``seed``.
     """
-    if r_outer <= 1.0:
-        raise ConfigurationError("r_outer must exceed 1")
-    nbc = pevp.size
-    n = pevp.n
-    m0 = subspace if subspace is not None else min(nbc, n + 8)
-    guess = None
-    if subspace_guess is not None:
-        guess = np.asarray(subspace_guess, dtype=complex)
-        if guess.ndim != 2 or guess.shape[0] != nbc:
-            raise ConfigurationError(
-                f"subspace_guess must be ({nbc}, k), got {guess.shape}")
-        m0 = max(m0, guess.shape[1])
-    m0 = max(2, min(m0, nbc))
-    rng = make_rng(seed)
-
-    pts = _contour_points(r_outer, num_points)
+    pts = _contour_points(r_outer, num_points, max_iter, tol)
+    run = _FeastRun(pevp, len(pts), subspace_guess, r_outer=r_outer,
+                    subspace=subspace, max_iter=max_iter, tol=tol,
+                    seed=seed, auto_expand=auto_expand)
     # Reuse one factorization of P(z_p) per contour point across all FEAST
     # refinement iterations — A and B never change.
     factors = [(z, w, pevp.factor_reduced(z)) for (z, w) in pts]
-    num_solves = len(factors)
-
-    a_lin, b_lin = pevp.pencil()
-
-    # Byte-model logs: one rhs width / RR size per refinement iteration,
-    # accumulated across auto-expand attempts (the contour factorizations
-    # are NOT redone on expand, so only the iteration terms grow).
-    width_log: list = []
-    rr_log: list = []
-
     while True:
-        y, used_guess = _seed_subspace(rng, nbc, m0, guess)
-        guess = None   # a failed warm attempt falls back to cold redraws
-        try:
-            result = _feast_iterate(pevp, a_lin, b_lin, factors, y,
-                                    r_outer, max_iter, tol,
-                                    width_log, rr_log)
-        except ConvergenceError:
-            # A stall usually means the subspace is smaller than the
-            # annulus eigenvalue count; grow it before giving up.
-            if auto_expand and m0 < nbc:
-                m0 = min(nbc, 2 * m0)
-                continue
-            raise
-        lambdas, vectors, residuals, iters, ritz_in = result
-        # FEAST convention: if the subspace is nearly saturated the count
-        # is untrustworthy (modes may be missing) — expand and redo.
-        if auto_expand and len(lambdas) >= m0 - 1 and m0 < nbc:
-            m0 = min(nbc, 2 * m0)
-            continue
-        return FeastResult(lambdas=lambdas, vectors=vectors,
-                           residuals=residuals, iterations=iters,
-                           num_solves=num_solves,
-                           subspace_size=m0, subspace=ritz_in,
-                           warm_started=used_guess,
-                           solve_widths=tuple(width_log),
-                           rr_sizes=tuple(rr_log))
+        # Contour filter: Q = sum_p w_p (z_p B - A)^{-1} B Y.
+        q = np.zeros_like(run.y)
+        for z, w, fac in factors:
+            q += w * pevp.resolvent_apply(z, run.y, factor=fac)
+        result = run.step(q)
+        if result is not None:
+            return result
 
 
 def _orthonormal_basis(q: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -230,170 +192,165 @@ def _rr_step(pevp, a_lin, b_lin, q, r_outer):
     return lam_in, us, res, ritz_in, ritz
 
 
-def _feast_iterate(pevp, a_lin, b_lin, factors, y, r_outer,
-                   max_iter, tol, width_log=None, rr_log=None):
-    """Inner FEAST loop: filter -> Rayleigh-Ritz -> check residuals."""
-    best = None
-    for it in range(1, max_iter + 1):
-        if width_log is not None:
-            width_log.append(int(y.shape[1]))
-        # Contour filter: Q = sum_p w_p (z_p B - A)^{-1} B Y.
-        q = np.zeros_like(y)
-        for z, w, fac in factors:
-            q += w * pevp.resolvent_apply(z, y, factor=fac)
+class _FeastRun:
+    """One energy's FEAST refinement: decides every iteration's next step.
 
-        lam_in, us, res, ritz_in, ritz = _rr_step(pevp, a_lin, b_lin, q,
-                                                  r_outer)
-        if rr_log is not None:
-            rr_log.append(int(ritz.shape[1]))
-        best = (lam_in, us, res, it, ritz_in)
-        if len(lam_in) == 0 or (len(res) and res.max() < tol):
-            return best
-        # Refine: next subspace = the full set of Ritz vectors.
-        y = ritz
-    lam_in, us, res, it, ritz_in = best
-    if len(res) and res.max() > 1e3 * tol:
-        raise ConvergenceError(
-            f"FEAST stalled: max residual {res.max():.2e} after "
-            f"{max_iter} refinements", iterations=max_iter,
-            residual=float(res.max()))
-    return best
+    Both drivers filter the current block ``y`` with their own kernels —
+    :func:`feast_annulus` with the per-point resolvent applies,
+    :func:`_feast_lockstep` with the stacked ones — and hand the filtered
+    block to :meth:`step`, which decides what comes next: converge,
+    refine, drop a stalled spurious pair, expand the subspace on a stall
+    or on saturation (redrawing the block), or give up.  A warm guess
+    seeds only the first attempt; every redraw after it is cold.
+    """
 
-
-# --------------------------------------------------------------------------
-# Energy-batched drivers
-# --------------------------------------------------------------------------
-
-class _LockstepState:
-    """One energy's FEAST state while the batch advances in lock-step."""
-
-    __slots__ = ("rng", "m0", "y", "it", "best", "width_log", "rr_log")
-
-    def __init__(self, rng, m0: int, nbc: int):
-        self.rng = rng
-        self.m0 = m0
-        self.it = 0
-        self.best = None
-        self.y = None
+    def __init__(self, pevp, num_solves: int, guess, *, r_outer, subspace,
+                 max_iter, tol, seed, auto_expand):
+        self.nbc = nbc = pevp.size
+        if guess is not None:
+            guess = np.asarray(guess, dtype=complex)
+            if guess.ndim != 2 or guess.shape[0] != nbc:
+                raise ConfigurationError(
+                    f"subspace_guess must be ({nbc}, k), got {guess.shape}")
+        # m0: unit cell + 8 unless given, at least the guess's width
+        m0 = subspace if subspace is not None else min(nbc, pevp.n + 8)
+        if guess is not None:
+            m0 = max(m0, guess.shape[1])
+        self.m0 = max(2, min(m0, nbc))
+        self.guess = guess
+        self.pevp = pevp
+        self.pencil = pevp.pencil()
+        self.rng = make_rng(seed)
+        self.r_outer = r_outer
+        self.max_iter = max_iter
+        self.tol = tol
+        self.auto_expand = auto_expand
+        self.num_solves = num_solves
+        # Byte-model logs: one rhs width / RR size per refinement
+        # iteration, accumulated across auto-expand attempts (the contour
+        # factorizations are NOT redone on expand, so only the iteration
+        # terms grow).
         self.width_log: list = []
         self.rr_log: list = []
-        self.draw(nbc)
+        self._start()
 
-    def draw(self, nbc: int) -> None:
-        # identical expression (and draw order) to the per-energy path
-        self.y = self.rng.standard_normal((nbc, self.m0)) \
-            + 1j * self.rng.standard_normal((nbc, self.m0))
-
-    def expand(self, nbc: int) -> None:
-        self.m0 = min(nbc, 2 * self.m0)
+    def _start(self) -> None:
+        """Begin an attempt from a fresh block: the warm guess padded
+        with seeded random columns if one is pending, else all random."""
+        nbc, m0, guess = self.nbc, self.m0, self.guess
+        self.guess = None   # a failed warm attempt falls back to cold draws
+        self.warm = guess is not None and guess.shape[1] > 0
+        k = min(guess.shape[1], m0) if self.warm else 0
+        if k == m0:
+            self.y = guess[:, :m0].copy()
+        else:
+            pad = self.rng.standard_normal((nbc, m0 - k)) \
+                + 1j * self.rng.standard_normal((nbc, m0 - k))
+            self.y = np.hstack([guess[:, :k], pad]) if k else pad
         self.it = 0
-        self.best = None
-        self.draw(nbc)
+        self.prev = None
 
+    def _expand(self) -> bool:
+        """Double the subspace and restart; False if it cannot grow."""
+        if not (self.auto_expand and self.m0 < self.nbc):
+            return False
+        self.m0 = min(self.nbc, 2 * self.m0)
+        self._start()
+        return True
 
-def _lockstep_advance(st: _LockstepState, pevp, pencil, q, r_outer,
-                      max_iter, tol, auto_expand, nbc, num_solves):
-    """Consume one filtered block for one energy; return its FeastResult
-    when finished, else None (state updated for the next round).
+    def _stalled(self, lam, res) -> np.ndarray | None:
+        """Mask of spurious pairs to drop, or None.
 
-    Mirrors one turn of :func:`_feast_iterate` plus the expansion logic of
-    :func:`feast_annulus`'s outer loop, so the per-energy decision
-    sequence — convergence, stall, subspace saturation, redraw-on-expand —
-    is identical statement for statement.
-    """
-    a_lin, b_lin = pencil
-    st.it += 1
-    st.width_log.append(int(q.shape[1]))
-    lam_in, us, res, ritz_in, ritz = _rr_step(pevp, a_lin, b_lin, q,
-                                              r_outer)
-    st.rr_log.append(int(ritz.shape[1]))
-    st.best = (lam_in, us, res, st.it, ritz_in)
-    converged = len(lam_in) == 0 or (len(res) and res.max() < tol)
-    if not converged:
-        if st.it < max_iter:
-            st.y = ritz
+        A Ritz pair that matches no eigenvalue can sit at a residual far
+        above ``tol`` while every true pair has converged; refining then
+        never ends and the run stalls.  Drop the unconverged pairs when
+        every one of them is non-propagating, above ``1e3 * tol`` and
+        fell by less than 10x since the previous iteration (compared with
+        the nearest previous Ritz value), and all other pairs have
+        converged.  :func:`~repro.obc.modes.classify_modes` discards such
+        pairs by residual anyway.
+        """
+        unconverged = ~(res < self.tol)
+        if self.prev is None or not unconverged.any():
             return None
-        if len(res) and res.max() > 1e3 * tol:
-            if auto_expand and st.m0 < nbc:
-                st.expand(nbc)
+        lam_prev, res_prev = self.prev
+        if not len(lam_prev):
+            return None
+        nearest = np.abs(lam[:, None] - lam_prev[None, :]).argmin(axis=1)
+        stalled = (res > 1e3 * self.tol) \
+            & (res > 0.1 * res_prev[nearest]) \
+            & (np.abs(np.abs(lam) - 1.0) > PROPAGATING_TOL)
+        return stalled if np.array_equal(stalled, unconverged) else None
+
+    def step(self, q) -> FeastResult | None:
+        """Consume the filtered block of one iteration; return the result
+        when finished, else None (``self.y`` is then the next block)."""
+        self.it += 1
+        self.width_log.append(int(q.shape[1]))
+        a_lin, b_lin = self.pencil
+        lam, us, res, ritz_in, ritz = _rr_step(self.pevp, a_lin, b_lin, q,
+                                               self.r_outer)
+        self.rr_log.append(int(ritz.shape[1]))
+        drop = self._stalled(lam, res)
+        self.prev = (lam, res)
+        if drop is not None:
+            # the warm-start block ritz_in keeps the dropped direction:
+            # it only seeds a neighbour's first iterate
+            lam, us, res = lam[~drop], us[:, ~drop], res[~drop]
+        if len(lam) and not res.max() < self.tol:
+            if self.it < self.max_iter:
+                # Refine: next subspace = the full set of Ritz vectors.
+                self.y = ritz
                 return None
-            raise ConvergenceError(
-                f"FEAST stalled: max residual {res.max():.2e} after "
-                f"{max_iter} refinements", iterations=max_iter,
-                residual=float(res.max()))
-    lambdas, vectors, residuals, iters, ritz_best = st.best
-    if auto_expand and len(lambdas) >= st.m0 - 1 and st.m0 < nbc:
-        st.expand(nbc)
-        return None
-    return FeastResult(lambdas=lambdas, vectors=vectors,
-                       residuals=residuals, iterations=iters,
-                       num_solves=num_solves, subspace_size=st.m0,
-                       subspace=ritz_best,
-                       solve_widths=tuple(st.width_log),
-                       rr_sizes=tuple(st.rr_log))
+            if res.max() > 1e3 * self.tol:
+                # A stall usually means the subspace is smaller than the
+                # annulus eigenvalue count; grow it before giving up.
+                if self._expand():
+                    return None
+                raise ConvergenceError(
+                    f"FEAST stalled: max residual {res.max():.2e} after "
+                    f"{self.max_iter} refinements",
+                    iterations=self.max_iter, residual=float(res.max()))
+        # FEAST convention: if the subspace is nearly saturated the count
+        # is untrustworthy (modes may be missing) — expand and redo.
+        if len(lam) >= self.m0 - 1 and self._expand():
+            return None
+        return FeastResult(lambdas=lam, vectors=us, residuals=res,
+                           iterations=self.it, num_solves=self.num_solves,
+                           subspace_size=self.m0, subspace=ritz_in,
+                           warm_started=self.warm,
+                           solve_widths=tuple(self.width_log),
+                           rr_sizes=tuple(self.rr_log))
 
 
 def _feast_lockstep(stack, r_outer, subspace, num_points, max_iter, tol,
                     seed, auto_expand):
     """Batched FEAST, all energies advancing together (bitwise == solo)."""
-    if r_outer <= 1.0:
-        raise ConfigurationError("r_outer must exceed 1")
-    nbc = stack.size
-    n = stack.n
-    ne = stack.batch_size
-    m0 = subspace if subspace is not None else min(nbc, n + 8)
-    m0 = max(2, min(m0, nbc))
-
-    pts = _contour_points(r_outer, num_points)
+    pts = _contour_points(r_outer, num_points, max_iter, tol)
+    runs = [_FeastRun(p, len(pts), None, r_outer=r_outer, subspace=subspace,
+                      max_iter=max_iter, tol=tol, seed=seed,
+                      auto_expand=auto_expand) for p in stack.pevps]
     # Stacked contour factorizations: one zgetrf_batched per point covers
     # the whole batch; the ledger record is the exact sum of the
     # per-energy counts.
     factors = [(z, w, stack.factor_reduced(z)) for (z, w) in pts]
-    num_solves = len(factors)
-    pencils = [p.pencil() for p in stack.pevps]
-
-    states = [_LockstepState(make_rng(seed), m0, nbc) for _ in range(ne)]
-    results: list = [None] * ne
+    results: list = [None] * len(runs)
 
     while any(r is None for r in results):
-        active = [i for i in range(ne) if results[i] is None]
+        active = [i for i, r in enumerate(results) if r is None]
         # Rank truncation lets subspace widths diverge mid-run; bucket the
         # active energies by current width so every stacked resolvent
         # apply is rectangular (no padding).
-        widths = [states[i].y.shape[1] for i in active]
+        widths = [runs[i].y.shape[1] for i in active]
         for _width, positions in bucket_by_width(widths).items():
             idx = np.asarray([active[p] for p in positions], dtype=int)
-            ys = np.stack([states[i].y for i in idx])
+            ys = np.stack([runs[i].y for i in idx])
             q = np.zeros_like(ys)
             for z, w, fac in factors:
                 q += w * stack.resolvent_apply(
                     z, ys, factor=stack.take_factor(fac, idx), idx=idx)
             for slot, i in enumerate(idx):
-                results[i] = _lockstep_advance(
-                    states[i], stack.pevps[i], pencils[i], q[slot],
-                    r_outer, max_iter, tol, auto_expand, nbc, num_solves)
-    return results
-
-
-def _feast_warm_sweep(stack, r_outer, subspace, num_points, max_iter, tol,
-                      seed, auto_expand, initial_guess=None):
-    """Sequential sweep, each energy seeded by its predecessor's subspace.
-
-    ``initial_guess`` seeds the *first* energy (e.g. a cached
-    near-neighbour subspace from the persistent result store); after
-    that each energy chains from its predecessor as usual.
-    """
-    results = []
-    guess = None
-    if initial_guess is not None:
-        guess = np.asarray(initial_guess, dtype=complex)
-    for pevp in stack.pevps:
-        res = feast_annulus(pevp, r_outer=r_outer, subspace=subspace,
-                            num_points=num_points, max_iter=max_iter,
-                            tol=tol, seed=seed, auto_expand=auto_expand,
-                            subspace_guess=guess)
-        results.append(res)
-        guess = res.subspace if res.num_modes else None
+                results[i] = runs[i].step(q[slot])
     return results
 
 
@@ -409,18 +366,29 @@ def feast_annulus_batch(stack, r_outer: float = 3.0,
     default lock-step mode stacks the contour factorizations and resolvent
     applies over the batch (one batched kernel call each) and is bitwise
     identical, energy by energy, to calling :func:`feast_annulus` with the
-    same arguments.  ``warm_start=True`` instead sweeps the energies in
-    order, seeding each from the previous converged subspace — fewer
-    refinement iterations on smooth grids, at the price of sequential
-    execution and tiny (round-off level) deviations from the cold path.
+    same arguments; a batch of one runs :func:`feast_annulus` itself,
+    which is faster than a stack of one.  ``warm_start=True`` instead
+    sweeps the energies in order, seeding each from the previous
+    converged subspace — fewer refinement iterations on smooth grids, at
+    the price of sequential execution and tiny (round-off level)
+    deviations from the cold path.
 
     ``subspace_guess`` (warm-start mode only) seeds the first energy of
     the sweep — typically a cached near-neighbour subspace published by
-    the persistent result store.
+    the persistent result store; after that each energy chains from its
+    predecessor.
     """
+    kw = dict(r_outer=r_outer, subspace=subspace, num_points=num_points,
+              max_iter=max_iter, tol=tol, seed=seed,
+              auto_expand=auto_expand)
     if warm_start:
-        return _feast_warm_sweep(stack, r_outer, subspace, num_points,
-                                 max_iter, tol, seed, auto_expand,
-                                 initial_guess=subspace_guess)
-    return _feast_lockstep(stack, r_outer, subspace, num_points, max_iter,
-                           tol, seed, auto_expand)
+        results = []
+        guess = subspace_guess
+        for pevp in stack.pevps:
+            res = feast_annulus(pevp, subspace_guess=guess, **kw)
+            results.append(res)
+            guess = res.subspace if res.num_modes else None
+        return results
+    if stack.batch_size == 1:
+        return [feast_annulus(stack.pevps[0], **kw)]
+    return _feast_lockstep(stack, **kw)

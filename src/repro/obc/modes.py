@@ -74,7 +74,12 @@ class LeadModes:
         return int(np.count_nonzero(self.propagating & ~self.right_going))
 
 
-def classify_modes(pevp, lambdas, vectors, prop_tol: float = 1e-6,
+#: | |lambda| - 1 | below this marks a propagating mode
+PROPAGATING_TOL = 1e-6
+
+
+def classify_modes(pevp, lambdas, vectors,
+                   prop_tol: float = PROPAGATING_TOL,
                    residual_tol: float = 1e-7) -> LeadModes:
     """Classify raw eigenpairs into a :class:`LeadModes` table.
 

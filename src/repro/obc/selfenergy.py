@@ -41,13 +41,11 @@ import numpy as np
 from repro.hamiltonian.device import LeadBlocks
 from repro.obc.decimation import (sancho_rubio, sancho_rubio_batch,
                                   sigma_from_surface_gf)
-from repro.obc.feast import feast_annulus, feast_annulus_batch
+from repro.obc.feast import feast_annulus_batch
 from repro.obc.modes import LeadModes, classify_modes, fold_modes, folded_velocity
 from repro.obc.polynomial import PolynomialEVP, PolynomialEVPStack
 from repro.obc.shift_invert import shift_invert_modes
-from repro.pipeline.registry import (OBC_BATCH_METHODS, OBC_METHODS,
-                                     register_obc_batch_method,
-                                     register_obc_method)
+from repro.pipeline.registry import OBC_METHODS, register_obc_method
 from repro.utils.errors import ConfigurationError
 
 
@@ -209,9 +207,12 @@ def boundary_from_decimation(lead: LeadBlocks, energy: float,
 # --------------------------------------------------------------------------
 # Registered OBC methods (the pipeline's OBC-stage extension point).
 #
-# Mode-based methods carry ``uses_pevp=True`` metadata and accept a
-# ``pevp=`` keyword so a per-k DeviceCache can pass a pre-assembled
-# :class:`PolynomialEVP`; when omitted they build their own.
+# Every method solves one lead over an energy batch,
+# ``fn(lead, energies, *, pevps=None, **kwargs) -> list[OpenBoundary]``;
+# a single energy is a batch of one.  Mode-based methods carry
+# ``uses_pevp=True`` metadata so a per-k DeviceCache can pass
+# pre-assembled :class:`PolynomialEVP` objects; when ``pevps`` is omitted
+# they build their own.
 # --------------------------------------------------------------------------
 
 def _boundary_from_eigs(lead: LeadBlocks, energy: float,
@@ -223,13 +224,32 @@ def _boundary_from_eigs(lead: LeadBlocks, energy: float,
     return boundary_from_modes(lead, energy, folded, method=method)
 
 
-def _mode_boundary(lead: LeadBlocks, energy: float, solve_modes,
-                   method: str, pevp: PolynomialEVP | None,
-                   **kwargs) -> OpenBoundary:
-    if pevp is None:
-        pevp = PolynomialEVP(lead.h_cells, lead.s_cells, energy)
-    lams, us = solve_modes(pevp, **kwargs)
-    return _boundary_from_eigs(lead, energy, pevp, lams, us, method)
+def _lead_pevps(lead: LeadBlocks, energies, pevps) -> list:
+    if pevps is None:
+        pevps = [PolynomialEVP(lead.h_cells, lead.s_cells, e)
+                 for e in energies]
+    return pevps
+
+
+def _register_per_energy(name: str, solve_modes, doc: str) -> None:
+    """Register a mode solver ``solve_modes(pevp, **kw) -> (lams, us)``
+    that handles one energy at a time."""
+    def obc(lead: LeadBlocks, energies, *, pevps=None, **kwargs) -> list:
+        obs = []
+        for e, p in zip(energies, _lead_pevps(lead, energies, pevps)):
+            lams, us = solve_modes(p, **kwargs)
+            obs.append(_boundary_from_eigs(lead, e, p, lams, us, name))
+        return obs
+
+    obc.__doc__ = doc
+    register_obc_method(name, uses_pevp=True)(obc)
+
+
+_register_per_energy(
+    "dense", PolynomialEVP.solve_dense,
+    "Full ``zggev`` on the companion pencil (exact, O(NBC^3); reference).")
+_register_per_energy("shift_invert", shift_invert_modes,
+                     "The tight-binding-era baseline [38].")
 
 
 def _feast_info(res, n: int) -> dict:
@@ -246,86 +266,18 @@ def _feast_info(res, n: int) -> dict:
             "subspace": res.subspace}
 
 
-@register_obc_method("dense", uses_pevp=True)
-def _obc_dense(lead: LeadBlocks, energy: float, *, pevp=None,
-               **kwargs) -> OpenBoundary:
-    """Full ``zggev`` on the companion pencil (exact, O(NBC^3); reference)."""
-    return _mode_boundary(lead, energy,
-                          lambda p, **kw: p.solve_dense(**kw),
-                          "dense", pevp, **kwargs)
-
-
-@register_obc_method("feast", uses_pevp=True)
-def _obc_feast(lead: LeadBlocks, energy: float, *, pevp=None,
-               **kwargs) -> OpenBoundary:
-    """The paper's contour solver (Section 3A)."""
-    info: dict = {}
-
-    def solve(p, **kw):
-        res = feast_annulus(p, **kw)
-        info.update(_feast_info(res, p.n))
-        return res.lambdas, res.vectors
-
-    ob = _mode_boundary(lead, energy, solve, "feast", pevp, **kwargs)
-    ob.info.update(info)
-    return ob
-
-
-@register_obc_method("shift_invert", uses_pevp=True)
-def _obc_shift_invert(lead: LeadBlocks, energy: float, *, pevp=None,
-                      **kwargs) -> OpenBoundary:
-    """The tight-binding-era baseline [38]."""
-    return _mode_boundary(lead, energy, shift_invert_modes,
-                          "shift_invert", pevp, **kwargs)
-
-
-@register_obc_method("decimation", uses_pevp=False)
-def _obc_decimation(lead: LeadBlocks, energy: float,
-                    **kwargs) -> OpenBoundary:
-    """Sancho-Rubio surface GF [40]: self-energies only, no modes, so
-    wave-function injection is unavailable and the NEGF route must be
-    used."""
-    return boundary_from_decimation(lead, energy, **kwargs)
-
-
-def compute_open_boundary(lead: LeadBlocks, energy: float,
-                          method: str = "feast",
-                          **kwargs) -> OpenBoundary:
-    """Compute the OBCs of one lead at one energy.
-
-    ``method`` names an entry of the
-    :data:`repro.pipeline.registry.OBC_METHODS` registry (built-ins:
-    ``"feast"``, ``"shift_invert"``, ``"dense"``, ``"decimation"``; see
-    the registered adapters above, and
-    :func:`repro.pipeline.register_obc_method` to add your own).  kwargs
-    are forwarded to the underlying solver.
-    """
-    return OBC_METHODS.get(method)(lead, energy, **kwargs)
-
-
-# --------------------------------------------------------------------------
-# Energy-batched OBC adapters (the pipeline's batched OBC stage).
-#
-# Methods with genuinely stackable kernels register in OBC_BATCH_METHODS;
-# everything else falls back to a per-energy loop through OBC_METHODS in
-# :func:`compute_open_boundary_batch` — same results, no stacking.
-# --------------------------------------------------------------------------
-
-@register_obc_batch_method("feast", uses_pevp=True,
-                           supports_warm_start=True)
-def _obc_feast_batch(lead: LeadBlocks, energies, *, pevps=None,
-                     warm_start: bool = False, subspace_guess=None,
-                     **kwargs) -> list:
-    """Batched FEAST: stacked contour factorizations and resolvent applies
-    over the whole energy batch (lock-step, bitwise == per-energy), or a
-    warm-started sequential sweep (``warm_start=True``, optionally seeded
-    with ``subspace_guess`` — e.g. a cached neighbour's subspace)."""
-    energies = [float(e) for e in energies]
-    if pevps is None:
-        pevps = [PolynomialEVP(lead.h_cells, lead.s_cells, e)
-                 for e in energies]
-    stack = PolynomialEVPStack(pevps)
-    fres = feast_annulus_batch(stack, warm_start=warm_start,
+@register_obc_method("feast", uses_pevp=True, supports_warm_start=True)
+def _obc_feast(lead: LeadBlocks, energies, *, pevps=None,
+               warm_start: bool = False, subspace_guess=None,
+               **kwargs) -> list:
+    """The paper's contour solver (Section 3A): stacked contour
+    factorizations and resolvent applies over the whole energy batch
+    (lock-step, bitwise == per-energy), or a warm-started sequential
+    sweep (``warm_start=True``, optionally seeded with ``subspace_guess``
+    — e.g. a cached neighbour's subspace)."""
+    pevps = _lead_pevps(lead, energies, pevps)
+    fres = feast_annulus_batch(PolynomialEVPStack(pevps),
+                               warm_start=warm_start,
                                subspace_guess=subspace_guess, **kwargs)
     obs = []
     for pevp, e, res in zip(pevps, energies, fres):
@@ -336,12 +288,17 @@ def _obc_feast_batch(lead: LeadBlocks, energies, *, pevps=None,
     return obs
 
 
-@register_obc_batch_method("decimation", uses_pevp=False)
-def _obc_decimation_batch(lead: LeadBlocks, energies, *,
-                          eta: float = 1e-8, **kwargs) -> list:
-    """Batched Sancho-Rubio: one (nE, n, n) recursion stack with
-    per-energy convergence masking (bitwise == per-energy)."""
-    energies = [float(e) for e in energies]
+@register_obc_method("decimation", uses_pevp=False)
+def _obc_decimation(lead: LeadBlocks, energies, *, pevps=None,
+                    eta: float = 1e-8, **kwargs) -> list:
+    """Sancho-Rubio surface GF [40]: self-energies only, no modes, so
+    wave-function injection is unavailable and the NEGF route must be
+    used.  A batch runs one (nE, n, n) recursion stack with per-energy
+    convergence masking (bitwise == per-energy); a single energy runs
+    :func:`boundary_from_decimation`."""
+    if len(energies) == 1:
+        return [boundary_from_decimation(lead, energies[0], eta=eta,
+                                         **kwargs)]
     t00s = np.stack([(e * lead.s00 - lead.h00).astype(complex)
                      for e in energies])
     t01s = np.stack([(e * lead.s01 - lead.h01).astype(complex)
@@ -369,34 +326,28 @@ def compute_open_boundary_batch(lead: LeadBlocks, energies,
                                 **kwargs) -> list:
     """Compute the OBCs of one lead for a whole energy batch.
 
-    Dispatches to the method's :data:`OBC_BATCH_METHODS` entry when one
-    exists (built-ins: ``"feast"`` with stacked contour solves,
-    ``"decimation"`` with the masked recursion stack); other methods loop
-    per energy through the per-point registry — identical results either
-    way.  ``pevps`` optionally provides pre-built per-energy
+    ``method`` names an entry of the
+    :data:`repro.pipeline.registry.OBC_METHODS` registry (built-ins:
+    ``"feast"`` with stacked contour solves, ``"decimation"`` with the
+    masked recursion stack, ``"dense"`` and ``"shift_invert"`` per
+    energy; :func:`repro.pipeline.register_obc_method` adds your own).
+    ``pevps`` optionally provides pre-built per-energy
     :class:`~repro.obc.polynomial.PolynomialEVP` objects (from a
     :class:`~repro.pipeline.DeviceCache`'s polynomial family) for
-    mode-based methods.  ``warm_start`` is forwarded only to batch
-    methods that declare ``supports_warm_start`` metadata.
+    mode-based methods.  ``warm_start`` and ``subspace_guess`` are
+    forwarded only to methods that declare ``supports_warm_start``
+    metadata; the other kwargs go to the solver.
     """
     energies = [float(e) for e in energies]
-    if method in OBC_BATCH_METHODS:
-        fn = OBC_BATCH_METHODS.get(method)
-        meta = OBC_BATCH_METHODS.meta(method)
-        kw = dict(kwargs)
-        if meta.get("supports_warm_start"):
-            kw["warm_start"] = warm_start
-            if subspace_guess is not None:
-                kw["subspace_guess"] = subspace_guess
-        if meta.get("uses_pevp"):
-            kw["pevps"] = pevps
-        return fn(lead, energies, **kw)
-    fn = OBC_METHODS.get(method)
-    uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
-    obs = []
-    for j, e in enumerate(energies):
-        if uses_pevp and pevps is not None:
-            obs.append(fn(lead, e, pevp=pevps[j], **kwargs))
-        else:
-            obs.append(fn(lead, e, **kwargs))
-    return obs
+    if OBC_METHODS.meta(method).get("supports_warm_start"):
+        kwargs.update(warm_start=warm_start, subspace_guess=subspace_guess)
+    return OBC_METHODS.get(method)(lead, energies, pevps=pevps, **kwargs)
+
+
+def compute_open_boundary(lead: LeadBlocks, energy: float,
+                          method: str = "feast",
+                          **kwargs) -> OpenBoundary:
+    """Compute the OBCs of one lead at one energy: a batch of one through
+    :func:`compute_open_boundary_batch` (kwargs are forwarded)."""
+    return compute_open_boundary_batch(lead, [energy], method=method,
+                                       **kwargs)[0]

@@ -14,8 +14,9 @@ that out of the energy loop:
   points pay nothing);
 * ``polynomial(E)`` reuses a :class:`~repro.obc.polynomial.PolynomialFamily`
   so the per-energy PolynomialEVP is one subtraction per coefficient;
-* ``boundary(E, method, ...)`` shares :class:`OpenBoundary` results
-  between callers hitting the same (energy, method, kwargs).
+* ``boundary_batch(energies, method, ...)`` shares :class:`OpenBoundary`
+  results between callers hitting the same (energy, method, kwargs);
+  ``boundary(E, ...)`` is its batch of one.
 
 Caching contract: everything handed out is **shared and must be treated
 as read-only** by consumers.  That holds for the built-in solvers — none
@@ -146,82 +147,57 @@ class DeviceCache:
         return self._polynomial_family().at_energies(energies)
 
     def boundary(self, energy: float, method: str, **kwargs):
-        """OpenBoundary at (energy, method, kwargs), shared across callers.
-
-        Mode-based methods (registry meta ``uses_pevp``) receive the
-        family-built PolynomialEVP.  Unhashable kwargs disable sharing
-        for that call but still compute correctly.
-        """
-        fn = OBC_METHODS.get(method)
-        uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
-        try:
-            key = (float(energy), method, tuple(sorted(kwargs.items())))
-        except TypeError:
-            key = None
-        tracer = current_tracer()
-        if key is not None:
-            with self._lock:
-                hit = self._boundary_memo.get(key)
-            if hit is not None:
-                if tracer is not None:
-                    tracer.metrics.counter("obc_point_cache_hits").inc()
-                return hit
-        if tracer is not None:
-            tracer.metrics.counter("obc_point_cache_misses").inc()
-        if uses_pevp:
-            ob = fn(self.device.lead, energy,
-                    pevp=self.polynomial(energy), **kwargs)
-        else:
-            ob = fn(self.device.lead, energy, **kwargs)
-        if key is not None:
-            with self._lock:
-                self._boundary_memo.setdefault(key, ob)
-                ob = self._boundary_memo[key]
-        return ob
+        """OpenBoundary at (energy, method, kwargs): a batch of one
+        through :meth:`boundary_batch`, shared across callers."""
+        return self.boundary_batch([energy], method, **kwargs)[0]
 
     def boundary_batch(self, energies, method: str,
                        warm_start: bool = False, subspace_guess=None,
                        **kwargs) -> list:
         """Batched OpenBoundary computation with batch-aware memoization.
 
-        The default (lock-step) batch path is bitwise identical to the
-        per-energy one, so its results share the **per-energy** memo keys
-        of :meth:`boundary`: a batch only recomputes the energies no
-        per-point (or prior-batch) caller has produced yet, and per-point
-        retries after a batch pay nothing.  Warm-started FEAST results
-        depend on the batch composition (each energy is seeded by its
-        predecessor) and differ from the cold path by round-off, so they
-        are memoized under one whole-batch key instead — never aliased
-        with per-energy entries.
+        Mode-based methods (registry meta ``uses_pevp``) receive the
+        family-built PolynomialEVPs.  The default (lock-step) batch path
+        is bitwise identical to the per-energy one, so its results are
+        memoized under **per-energy** keys: a batch only recomputes the
+        energies no earlier call has produced yet, and one-energy retries
+        after a batch pay nothing.  Warm-started FEAST results depend on
+        the batch composition (each energy is seeded by its predecessor)
+        and differ from the cold path by round-off, so they are memoized
+        under one whole-batch key instead — never aliased with per-energy
+        entries.  Unhashable kwargs disable sharing for that call but
+        still compute correctly.
         """
+        from repro.obc.selfenergy import compute_open_boundary_batch
         energies = [float(e) for e in energies]
-        uses_pevp = bool(OBC_METHODS.meta(method).get("uses_pevp"))
         try:
             kw_key = tuple(sorted(kwargs.items()))
+            hash(kw_key)
         except TypeError:
             kw_key = None
+
+        def solve(es):
+            uses_pevp = OBC_METHODS.meta(method).get("uses_pevp")
+            return compute_open_boundary_batch(
+                self.device.lead, es, method=method,
+                pevps=self.polynomial_batch(es) if uses_pevp else None,
+                warm_start=warm_start, subspace_guess=subspace_guess,
+                **kwargs)
 
         if warm_start:
             # A subspace-seeded batch depends on the (external) guess, so
             # it is never memoized — the guess is not part of a hashable
             # key and the seeded result differs by round-off anyway.
-            key = None if (kw_key is None or subspace_guess is not None) \
-                else ("batch-warm", tuple(energies), method, kw_key)
-            if key is not None:
-                with self._lock:
-                    if key in self._boundary_memo:
-                        return self._boundary_memo[key]
-            obs = self._compute_boundary_batch(energies, method,
-                                               uses_pevp, True, kwargs,
-                                               subspace_guess=subspace_guess)
-            if key is not None:
-                with self._lock:
-                    self._boundary_memo.setdefault(key, obs)
-                    obs = self._boundary_memo[key]
-            return obs
+            if kw_key is None or subspace_guess is not None:
+                return solve(energies)
+            key = ("batch-warm", tuple(energies), method, kw_key)
+            with self._lock:
+                if key in self._boundary_memo:
+                    return self._boundary_memo[key]
+            obs = solve(energies)
+            with self._lock:
+                return self._boundary_memo.setdefault(key, obs)
 
-        if len(energies) == 1:
-            return [self.boundary(energies[0], method, **kwargs)]
         keys = [None if kw_key is None else (e, method, kw_key)
                 for e in energies]
         have: dict = {}
@@ -235,27 +211,14 @@ class DeviceCache:
             tracer.metrics.counter("obc_cache_hits").inc(len(have))
             tracer.metrics.counter("obc_cache_misses").inc(len(missing))
         if missing:
-            fresh = self._compute_boundary_batch(
-                [energies[j] for j in missing], method, uses_pevp,
-                False, kwargs)
+            fresh = solve([energies[j] for j in missing])
             with self._lock:
                 for j, ob in zip(missing, fresh):
                     k = keys[j]
                     if k is not None:
-                        self._boundary_memo.setdefault(k, ob)
-                        ob = self._boundary_memo[k]
+                        ob = self._boundary_memo.setdefault(k, ob)
                     have[j] = ob
         return [have[j] for j in range(len(energies))]
-
-    def _compute_boundary_batch(self, energies, method, uses_pevp,
-                                warm_start, kwargs,
-                                subspace_guess=None) -> list:
-        from repro.obc.selfenergy import compute_open_boundary_batch
-        pevps = self.polynomial_batch(energies) if uses_pevp else None
-        return compute_open_boundary_batch(
-            self.device.lead, energies, method=method, pevps=pevps,
-            warm_start=warm_start, subspace_guess=subspace_guess,
-            **kwargs)
 
 
 def as_cache(device_or_cache) -> DeviceCache:

@@ -113,9 +113,9 @@ class TransportPipeline:
         run it as per-energy SplitSolve instead.
 
         A one-energy batch runs the per-point kernels instead: the OBC
-        through the :meth:`DeviceCache.boundary` memo (no warm start
-        without an ``obc_subspace_guess``), and SOLVE through the named
-        solver (``"auto"`` resolved by
+        method's batch of one runs them (no warm start without an
+        ``obc_subspace_guess``), and SOLVE runs the named solver
+        (``"auto"`` resolved by
         :func:`~repro.pipeline.registry.resolve_solver_name`); they are
         faster than a stacked batch of one.
 
@@ -163,10 +163,10 @@ class TransportPipeline:
 
         # OBC: one batched computation for the whole energy batch — stacked
         # contour factorizations (FEAST) or masked recursion stacks
-        # (decimation); methods without a batch implementation loop
-        # per-energy inside the same scope.  Per-energy stage traces are
-        # carved from the batch totals by solver iteration counts
-        # (post-hoc weights; exact flop apportionment).
+        # (decimation); per-energy methods loop inside the same scope.
+        # Per-energy stage traces are carved from the batch totals by
+        # solver iteration counts (post-hoc weights; exact flop
+        # apportionment).
         tracer = current_tracer()
         with batch_stage_scope(traces, "OBC") as sts:
             if boundaries is not None:

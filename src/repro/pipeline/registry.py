@@ -11,10 +11,14 @@ in the solve path, each family lives in a :class:`Registry`:
   tridiagonal ``A`` and an :class:`~repro.obc.selfenergy.OpenBoundary`.
   ``info`` is an optional dict the solver may fill with diagnostics
   (e.g. SplitSolve's per-phase times), surfaced on the stage trace.
-* ``OBC_METHODS`` — callables ``fn(lead, energy, **kwargs) ->
-  OpenBoundary``.  Methods registered with ``uses_pevp=True`` accept a
-  ``pevp=`` keyword so a per-k cache can hand them a pre-assembled
-  :class:`~repro.obc.polynomial.PolynomialEVP`.
+* ``OBC_METHODS`` — callables ``fn(lead, energies, *, pevps=None,
+  **kwargs) -> list[OpenBoundary]`` computing the boundary conditions of
+  one lead over an energy batch; a single energy is a batch of one.
+  Methods registered with ``uses_pevp=True`` get the per-energy
+  :class:`~repro.obc.polynomial.PolynomialEVP` objects from a per-k
+  cache through ``pevps=``, and methods registered with
+  ``supports_warm_start=True`` also receive the ``warm_start`` and
+  ``subspace_guess`` keywords.
 
 Third-party extensions register without editing any core module::
 
@@ -109,12 +113,6 @@ class Registry:
 SOLVERS = Registry("solver")
 OBC_METHODS = Registry("OBC method")
 
-#: Batched OBC implementations: callables ``fn(lead, energies, **kwargs)
-#: -> list[OpenBoundary]`` solving a whole energy batch in stacked kernels.
-#: Methods without an entry fall back to a per-energy loop through
-#: ``OBC_METHODS`` (see ``compute_open_boundary_batch``).
-OBC_BATCH_METHODS = Registry("batched OBC method")
-
 
 def register_solver(name: str, *, overwrite: bool = False, **meta):
     """Decorator: add a linear solver to the pipeline's SOLVE stage."""
@@ -124,17 +122,6 @@ def register_solver(name: str, *, overwrite: bool = False, **meta):
 def register_obc_method(name: str, *, overwrite: bool = False, **meta):
     """Decorator: add a boundary method to the pipeline's OBC stage."""
     return OBC_METHODS.register(name, overwrite=overwrite, **meta)
-
-
-def register_obc_batch_method(name: str, *, overwrite: bool = False,
-                              **meta):
-    """Decorator: add an energy-batched boundary method.
-
-    ``name`` should match a per-point ``OBC_METHODS`` entry; the batched
-    pipeline path prefers the batch implementation and falls back to the
-    per-point one, energy by energy, when none is registered.
-    """
-    return OBC_BATCH_METHODS.register(name, overwrite=overwrite, **meta)
 
 
 def get_solver(name: str):

@@ -38,7 +38,7 @@ def check_power_of_two(n: int, name: str = "value") -> int:
     return n
 
 
-def check_batch_size(value, name: str = "energy_batch_size") -> int:
+def check_positive_int(value, name: str) -> int:
     """Return ``value`` as an int >= 1; reject bools and fractions.
 
     ``int()`` alone would silently run ``2.5`` as 2 and ``True`` as 1.

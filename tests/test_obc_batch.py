@@ -30,8 +30,7 @@ from repro.perfmodel.costmodel import (DISPATCH_FLOPS_PER_CALL,
                                        rgf_batched_flop_model,
                                        splitsolve_flop_model,
                                        suggest_energy_batch_size)
-from repro.pipeline import (OBC_BATCH_METHODS, TransportPipeline,
-                            resolve_batch_solver_name)
+from repro.pipeline import TransportPipeline, resolve_batch_solver_name
 from repro.structure import linear_chain
 from repro.utils.errors import ConfigurationError, ConvergenceError
 
@@ -182,10 +181,6 @@ class TestBoundaryBatchParity:
                                           seed=11)
         _bitwise_boundary(obs[0], compute_open_boundary(
             lead, 2.0, method="feast", seed=11))
-
-    def test_batch_registry_has_native_entries(self):
-        assert "feast" in OBC_BATCH_METHODS.names()
-        assert "decimation" in OBC_BATCH_METHODS.names()
 
     def test_info_diagnostics_populated(self):
         lead = _lead()

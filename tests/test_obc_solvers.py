@@ -6,10 +6,12 @@ import pytest
 from repro.hamiltonian import build_device
 from repro.obc import (
     PolynomialEVP,
+    PolynomialEVPStack,
     boundary_from_decimation,
     classify_modes,
     compute_open_boundary,
     feast_annulus,
+    feast_annulus_batch,
     fold_modes,
     sancho_rubio,
     shift_invert_modes,
@@ -61,9 +63,19 @@ class TestFeast:
             assert pevp.residual(lam, res.vectors[:, i]) < 1e-9
 
     def test_rejects_bad_radius(self):
+        """Nonsense settings raise on every FEAST path instead of
+        returning no modes (T = 0) or failing later."""
         _, pevp = chain_lead()
-        with pytest.raises(ConfigurationError):
-            feast_annulus(pevp, r_outer=0.9)
+        stack = PolynomialEVPStack([pevp, pevp])
+        for bad in ({"r_outer": 0.9}, {"num_points": 0},
+                    {"num_points": -2}, {"num_points": 2.5},
+                    {"num_points": True}, {"max_iter": 0},
+                    {"max_iter": 1.5}, {"tol": 0.0}, {"tol": -1e-10}):
+            with pytest.raises(ConfigurationError):
+                feast_annulus(pevp, **bad)
+            for warm in (False, True):
+                with pytest.raises(ConfigurationError):
+                    feast_annulus_batch(stack, warm_start=warm, **bad)
 
     def test_silicon_lead(self):
         """FEAST on a real nanowire lead (folded supercell frame check)."""
@@ -74,6 +86,54 @@ class TestFeast:
         lams_d, _ = pevp.solve_dense()
         want = lams_d[in_annulus(lams_d, 2.0)]
         assert res.num_modes == len(want)
+
+
+class TestFeastSpuriousPairStall:
+    """At -9.7167 eV on the 1 nm tight-binding wire lead all ten true
+    in-annulus pairs converge by the second iteration, while one spurious
+    Ritz pair (|lambda| ~ 2.45, matching no dense eigenvalue) stays near
+    a residual of 7e-2.  FEAST used to refine until ``max_iter``, expand
+    and raise; the stalled non-propagating pair is now dropped on the
+    solo, lock-step and warm-sweep paths alike."""
+
+    STALL = -9.7167
+    ENERGIES = [-9.7367, -9.7267, -9.7167, -9.7067]
+    KW = {"r_outer": 3.0, "num_points": 8, "seed": 0}
+
+    @pytest.fixture(scope="class")
+    def lead(self):
+        wire = silicon_nanowire(1.0, 4)
+        return build_device(wire, tight_binding_set(), num_cells=4).lead
+
+    def _check(self, pevp, res):
+        lams_d, _ = pevp.solve_dense()
+        assert_spectra_match(res.lambdas, lams_d[in_annulus(lams_d, 3.0)],
+                             atol=1e-8)
+        assert np.all(res.residuals < 1e-10)
+
+    def test_solo(self, lead):
+        pevp = PolynomialEVP(lead.h_cells, lead.s_cells, self.STALL)
+        res = feast_annulus(pevp, **self.KW)
+        assert res.num_modes == 10
+        assert res.iterations == 2
+        self._check(pevp, res)
+        ob = compute_open_boundary(lead, self.STALL, method="feast",
+                                   **self.KW)
+        ref = compute_open_boundary(lead, self.STALL, method="dense")
+        assert ob.num_left_injected == ref.num_left_injected
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_batch_containing_the_stall(self, lead, warm):
+        pevps = [PolynomialEVP(lead.h_cells, lead.s_cells, e)
+                 for e in self.ENERGIES]
+        results = feast_annulus_batch(PolynomialEVPStack(pevps),
+                                      warm_start=warm, **self.KW)
+        for pevp, res in zip(pevps, results):
+            self._check(pevp, res)
+        if not warm:
+            solo = feast_annulus(pevps[2], **self.KW)
+            assert np.array_equal(results[2].lambdas, solo.lambdas)
+            assert np.array_equal(results[2].vectors, solo.vectors)
 
 
 class TestShiftInvert:

@@ -94,18 +94,47 @@ class TestRegistry:
             SOLVERS.unregister("test-rgf-clone")
 
     def test_third_party_obc_method(self, device):
+        """A list-in/list-out OBC method plugs in through the decorator
+        alone and runs bitwise like the method it wraps on every entry
+        point: one energy, the per-k cache, and pipelines at batch 1
+        and 3."""
+        from repro.obc import compute_open_boundary
+        calls = []
+
         @register_obc_method("test-dense-clone", uses_pevp=True)
-        def clone(lead, energy, *, pevp=None, **kwargs):
-            return OBC_METHODS.get("dense")(lead, energy, pevp=pevp,
+        def clone(lead, energies, *, pevps=None, **kwargs):
+            calls.append(len(energies))
+            return OBC_METHODS.get("dense")(lead, energies, pevps=pevps,
                                             **kwargs)
 
+        energies = [1.9, 2.0, 2.1]
         try:
-            res = qtbm_energy_point(device, 2.0,
-                                    obc_method="test-dense-clone",
-                                    solver="rgf")
-            ref = qtbm_energy_point(device, 2.0, obc_method="dense",
-                                    solver="rgf")
-            assert res.transmission_lr == ref.transmission_lr
+            ob = compute_open_boundary(device.lead, 2.0,
+                                       method="test-dense-clone")
+            ref = compute_open_boundary(device.lead, 2.0, method="dense")
+            np.testing.assert_array_equal(ob.sigma_l, ref.sigma_l)
+            np.testing.assert_array_equal(ob.sigma_r, ref.sigma_r)
+            np.testing.assert_array_equal(ob.modes.lambdas,
+                                          ref.modes.lambdas)
+
+            cache = DeviceCache(device)
+            got = cache.boundary_batch(energies, "test-dense-clone")
+            want = cache.boundary_batch(energies, "dense")
+            for ob, ref in zip(got, want):
+                np.testing.assert_array_equal(ob.sigma_l, ref.sigma_l)
+                np.testing.assert_array_equal(ob.sigma_r, ref.sigma_r)
+
+            for batch in (energies[1:2], energies):
+                res = TransportPipeline(
+                    obc_method="test-dense-clone",
+                    solver="rgf").solve_batch(device, batch)
+                ref = TransportPipeline(
+                    obc_method="dense", solver="rgf").solve_batch(device,
+                                                                  batch)
+                for r, f in zip(res, ref):
+                    np.testing.assert_array_equal(r.psi, f.psi)
+                    assert r.transmission_lr == f.transmission_lr
+            assert calls == [1, 3, 1, 3]
         finally:
             OBC_METHODS.unregister("test-dense-clone")
 

@@ -468,8 +468,8 @@ class TestInRunCacheCounters:
             cache.boundary(-0.35, "dense")
         assert a is b
         m = tracer.metrics
-        assert m.counter("obc_point_cache_misses").value == 2
-        assert m.counter("obc_point_cache_hits").value == 1
+        assert m.counter("obc_cache_misses").value == 2
+        assert m.counter("obc_cache_hits").value == 1
 
     def test_worker_cache_counts_builds_and_reuses(self):
         spec = SpectrumUnitSpec(
